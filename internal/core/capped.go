@@ -47,8 +47,16 @@ func (inst *Instance) RateQuantumBits() float64 { return inst.rateQuantumBits() 
 // (r·τ), in bits, for the exact capped DP. The discrete rate table makes
 // this a coarse quantum (400·τ bits for the paper's tiers); continuous
 // models fall back to a 1-bit quantum, which stays exact because data
-// volumes are integral in practice.
+// volumes are integral in practice. The result is memoized on the
+// instance (see Instance).
 func (inst *Instance) rateQuantumBits() float64 {
+	m := &inst.quanta
+	m.rateOnce.Do(func() { m.rate = inst.scanRateQuantumBits() })
+	return m.rate
+}
+
+// scanRateQuantumBits computes rateQuantumBits from the rate tables.
+func (inst *Instance) scanRateQuantumBits() float64 {
 	g := int64(0)
 	fine := false
 	accum := func(rates []float64) {

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"mobisink/internal/energy"
@@ -388,4 +389,73 @@ func TestWeightQuantumDetection(t *testing.T) {
 	if _, ok := cont.weightQuantum(); ok {
 		t.Error("continuous powers must not yield a small quantum")
 	}
+}
+
+// TestQuantaMemoMatchesScan checks that the memoized knapsack quanta equal
+// a fresh, uncached scan of the power and rate tables — for the paper's
+// discrete table, a continuous path-loss model (no weight quantum,
+// ok == false) and a fleet instance with windows in More — when the first
+// computation races between goroutines.
+func TestQuantaMemoMatchesScan(t *testing.T) {
+	d := tinyDeployment(t, 40, 67, 1)
+	plm, err := radio.NewPathLoss(250e3, 20, 2.5, 0.17, 0.33, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleetDep := fleetDeployment(t, 30, 68, 3, 5)
+	cases := []struct {
+		name   string
+		build  func() (*Instance, error)
+		wantOK bool
+	}{
+		{"paper table", func() (*Instance, error) { return BuildInstance(d, radio.Paper2013(), 10, 1) }, true},
+		{"path loss", func() (*Instance, error) { return BuildInstance(d, plm, 10, 1) }, false},
+		{"fleet", func() (*Instance, error) { return BuildFleetInstance(fleetDep, radio.Paper2013(), 5, 1) }, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			fresh, err := c.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantQ, wantOK := fresh.scanWeightQuantum()
+			wantRate := fresh.scanRateQuantumBits()
+			if c.name == "fleet" && !hasMoreWindows(fresh) {
+				t.Fatal("fleet instance has no sensor with a second window")
+			}
+			if wantOK != c.wantOK {
+				t.Fatalf("scan ok = %v, want %v", wantOK, c.wantOK)
+			}
+			inst, err := c.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			const goroutines = 8
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for r := 0; r < 3; r++ {
+						if q, ok := inst.weightQuantum(); q != wantQ || ok != wantOK {
+							t.Errorf("weightQuantum = (%v, %v), uncached scan (%v, %v)", q, ok, wantQ, wantOK)
+						}
+						if q := inst.RateQuantumBits(); q != wantRate {
+							t.Errorf("RateQuantumBits = %v, uncached scan %v", q, wantRate)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		})
+	}
+}
+
+func hasMoreWindows(inst *Instance) bool {
+	for i := range inst.Sensors {
+		if len(inst.Sensors[i].More) > 0 {
+			return true
+		}
+	}
+	return false
 }

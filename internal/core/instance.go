@@ -14,6 +14,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"mobisink/internal/geom"
 	"mobisink/internal/network"
@@ -128,6 +129,16 @@ type SinkInfo struct {
 // lengths, Sinks records each sink's segment, and the cross-sink
 // constraint — a sensor transmits to at most one sink per absolute time
 // slot — joins constraints (1)-(4).
+//
+// An Instance is built once and then only read: every sensor's Powers and
+// Rates (primary window and More), and Tau, must not change after the
+// first solve. The instance-wide knapsack quanta — the DP weight quantum
+// over all P_{i,j}·τ and the data quantum over all r_{i,j}·τ — are
+// computed on first use and memoized on the Instance on the strength of
+// that contract, so per-interval online solves do not rescan the whole
+// tour. Budgets and DataCaps are outside this contract, as neither
+// quantum reads them (a Compiled form states its own, stricter one). An
+// Instance must not be copied by value.
 type Instance struct {
 	T       int     // slots per tour (sum over the fleet)
 	Tau     float64 // τ, seconds per slot
@@ -142,6 +153,19 @@ type Instance struct {
 	// (finite data queues); nil means the paper's unbounded-data model.
 	// Set via SetDataCaps.
 	DataCaps []float64
+
+	quanta quantaMemo
+}
+
+// quantaMemo holds the lazily computed, instance-wide knapsack quanta;
+// each is computed at most once and is safe to read concurrently.
+type quantaMemo struct {
+	weightOnce sync.Once
+	weight     float64
+	weightOK   bool
+
+	rateOnce sync.Once
+	rate     float64
 }
 
 // NumSinks returns the fleet size (1 for legacy instances).

@@ -84,8 +84,16 @@ func (o Options) SolverCtx(inst *Instance) knapsack.SolverCtx {
 
 // weightQuantum finds a common quantum dividing every per-slot energy cost
 // P_{i,j}·τ, if the costs are discrete enough for an exact DP of reasonable
-// size. It returns ok=false for effectively continuous power models.
+// size. It returns ok=false for effectively continuous power models. The
+// result is memoized on the instance (see Instance).
 func (inst *Instance) weightQuantum() (float64, bool) {
+	m := &inst.quanta
+	m.weightOnce.Do(func() { m.weight, m.weightOK = inst.scanWeightQuantum() })
+	return m.weight, m.weightOK
+}
+
+// scanWeightQuantum computes weightQuantum from the power tables.
+func (inst *Instance) scanWeightQuantum() (float64, bool) {
 	const unit = 1e-6 // resolve weights in micro-Joules
 	g := int64(0)
 	maxQ := int64(0)

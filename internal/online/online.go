@@ -20,12 +20,15 @@
 package online
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"mobisink/internal/core"
@@ -326,7 +329,7 @@ func runInterval(ctx context.Context, eng *sim.Engine, inst *core.Instance, sche
 		}
 		heard = ok
 	}
-	var regs []Registration
+	regs := make([]Registration, 0, len(inRange))
 	for k, i := range inRange {
 		eng.Count("ack", 1) // the Ack is sent regardless of collisions
 		if !heard[k] {
@@ -440,53 +443,109 @@ type Appro struct {
 // Name implements Scheduler.
 func (a *Appro) Name() string { return "Online_Appro" }
 
+// approScratch is one interval's GAP instance in flat, reusable form: the
+// bins' Entries are consecutive windows of a single entries slice, so
+// building an interval allocates nothing once the buffers have grown to
+// the tour's largest interval.
+type approScratch struct {
+	order   []int
+	entries []gap.Entry
+	bins    []gap.Bin
+}
+
+// approScratchMax bounds the entries of a scratch returned to the pool,
+// so one huge interval does not pin its buffers for good.
+const approScratchMax = 1 << 20
+
+var approPool = sync.Pool{New: func() any { return new(approScratch) }}
+
 // Schedule implements Scheduler.
 func (a *Appro) Schedule(ctx context.Context, inst *core.Instance, iv Interval, regs []Registration) (map[int]int, error) {
+	sc := approPool.Get().(*approScratch)
+	defer putApproScratch(sc)
 	// Order registered sensors by (clipped start, clipped end) — the same
 	// ordering rule as offline.
-	order := make([]int, len(regs))
-	for k := range order {
-		order[k] = k
+	order := registrationOrder(sc.order, regs)
+	sc.order = order
+	// Every bin's entries are a window of one flat slice, sized up front to
+	// the sum of the clipped windows so the windows never move; each window
+	// is capped so no bin can grow into its neighbour.
+	total := 0
+	for k := range regs {
+		if w := regs[k].ClipEnd - regs[k].ClipStart + 1; w > 0 {
+			total += w
+		}
 	}
-	sort.Slice(order, func(x, y int) bool {
-		rx, ry := regs[order[x]], regs[order[y]]
-		if rx.ClipStart != ry.ClipStart {
-			return rx.ClipStart < ry.ClipStart
-		}
-		if rx.ClipEnd != ry.ClipEnd {
-			return rx.ClipEnd < ry.ClipEnd
-		}
-		return rx.Sensor < ry.Sensor
-	})
-	width := iv.End - iv.Start + 1
-	g := &gap.Instance{NumItems: width}
-	g.Bins = make([]gap.Bin, len(order))
-	for b, k := range order {
-		r := regs[k]
+	if cap(sc.entries) < total {
+		sc.entries = make([]gap.Entry, 0, total)
+	}
+	entries := sc.entries[:0]
+	bins := sc.bins[:0]
+	for _, k := range order {
+		r := &regs[k]
 		s := &inst.Sensors[r.Sensor]
-		bin := gap.Bin{Capacity: r.Budget}
+		lo := len(entries)
 		for j := r.ClipStart; j <= r.ClipEnd; j++ {
 			rate, pw := s.RateAt(j), s.PowerAt(j)
 			if rate <= 0 || pw <= 0 {
 				continue
 			}
-			bin.Entries = append(bin.Entries, gap.Entry{
+			entries = append(entries, gap.Entry{
 				Item: j - iv.Start, Profit: rate * inst.Tau, Weight: pw * inst.Tau,
 			})
 		}
-		g.Bins[b] = bin
+		bin := gap.Bin{Capacity: r.Budget}
+		if hi := len(entries); hi > lo {
+			bin.Entries = entries[lo:hi:hi]
+		}
+		bins = append(bins, bin)
 	}
-	asg, err := gap.LocalRatioCtx(ctx, g, a.solver(inst))
+	sc.entries, sc.bins = entries, bins
+	g := gap.Instance{NumItems: iv.End - iv.Start + 1, Bins: bins}
+	asg, err := gap.LocalRatioCtx(ctx, &g, a.solver(inst))
 	if err != nil {
 		return nil, err
 	}
-	assign := make(map[int]int)
+	assigned := 0
+	for _, b := range asg.ItemBin {
+		if b >= 0 {
+			assigned++
+		}
+	}
+	assign := make(map[int]int, assigned)
 	for item, b := range asg.ItemBin {
 		if b >= 0 {
 			assign[item+iv.Start] = regs[order[b]].Sensor
 		}
 	}
 	return assign, nil
+}
+
+func putApproScratch(sc *approScratch) {
+	if cap(sc.entries) <= approScratchMax {
+		approPool.Put(sc)
+	}
+}
+
+// registrationOrder fills dst with the indices of regs ordered by
+// (clipped start, clipped end, sensor) — the offline (Start, End) ordering
+// rule restricted to the interval — and returns it.
+func registrationOrder(dst []int, regs []Registration) []int {
+	order := dst[:0]
+	for k := range regs {
+		order = append(order, k)
+	}
+	slices.SortFunc(order, func(x, y int) int {
+		rx, ry := &regs[x], &regs[y]
+		if c := cmp.Compare(rx.ClipStart, ry.ClipStart); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(rx.ClipEnd, ry.ClipEnd); c != 0 {
+			return c
+		}
+		return cmp.Compare(rx.Sensor, ry.Sensor)
+	})
+	return order
 }
 
 func (a *Appro) solver(inst *core.Instance) knapsack.SolverCtx {
