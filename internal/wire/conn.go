@@ -48,6 +48,11 @@ type Conn struct {
 
 	hbStop chan struct{}
 	hbOnce sync.Once
+
+	// closed is closed by the first Close, so a sink tearing down can
+	// wait for each read loop to finish its drain.
+	closed    chan struct{}
+	closeOnce sync.Once
 }
 
 // NewConn wraps a transport connection with no deadlines (the pre-v2
@@ -57,7 +62,7 @@ func NewConn(c net.Conn) *Conn { return NewConnOpts(c, ConnOptions{}) }
 // NewConnOpts wraps a transport connection with the given liveness
 // options.
 func NewConnOpts(c net.Conn, opt ConnOptions) *Conn {
-	cn := &Conn{raw: c, br: bufio.NewReader(c), opt: opt}
+	cn := &Conn{raw: c, br: bufio.NewReader(c), opt: opt, closed: make(chan struct{})}
 	cn.lastWrite.Store(time.Now().UnixNano())
 	return cn
 }
@@ -66,7 +71,23 @@ func NewConnOpts(c net.Conn, opt ConnOptions) *Conn {
 // connection.
 func (c *Conn) Close() error {
 	c.stopHeartbeat()
+	c.closeOnce.Do(func() { close(c.closed) })
 	return c.raw.Close()
+}
+
+// closeWrite half-closes the connection: the peer reads EOF after every
+// frame already written, while this side can still read what the peer
+// sent. It reports false, leaving the connection as it was, when the
+// transport cannot half-close or a frame write is in flight (shutting
+// down mid-frame would hand the peer a truncated frame).
+func (c *Conn) closeWrite() bool {
+	cw, ok := c.raw.(interface{ CloseWrite() error })
+	if !ok || !c.wmu.TryLock() {
+		return false
+	}
+	defer c.wmu.Unlock()
+	c.stopHeartbeat()
+	return cw.CloseWrite() == nil
 }
 
 // RemoteAddr reports the peer address.

@@ -387,6 +387,10 @@ func instanceFingerprint(inst *core.Instance) uint64 {
 // Addr returns the bound listen address ("127.0.0.1:port").
 func (s *Sink) Addr() string { return s.ln.Addr().String() }
 
+// closeGrace bounds how long Close waits for sensors to answer its
+// half-close before it closes their connections outright.
+const closeGrace = time.Second
+
 // Close tears down the listener, all sensor connections, and the
 // journal.
 func (s *Sink) Close() error {
@@ -403,7 +407,32 @@ func (s *Sink) Close() error {
 	s.mu.Unlock()
 	close(s.done)
 	err := s.ln.Close()
+	// End the tour with FIN, not RST. A socket closed while inbound bytes
+	// sit unread (the last interval's confirm Acks, which the idealized
+	// path never waits for) makes the kernel answer with RST, and the
+	// sensor then reads ECONNRESET instead of the EOF that ends its tour.
+	// So half-close every connection, let its read loop drain until the
+	// sensor closes its side, and only force the close after a grace
+	// period.
+	grace := time.NewTimer(closeGrace)
+	defer grace.Stop()
+	var draining []*Conn
 	for _, c := range conns {
+		if c.closeWrite() {
+			draining = append(draining, c)
+		} else {
+			c.Close()
+		}
+	}
+drain:
+	for _, c := range draining {
+		select {
+		case <-c.closed:
+		case <-grace.C:
+			break drain
+		}
+	}
+	for _, c := range draining {
 		c.Close()
 	}
 	if s.log != nil {
@@ -519,7 +548,8 @@ func (s *Sink) handle(c *Conn) {
 		select {
 		case s.inbox <- inbound{sensor: id, msg: m}:
 		case <-s.done:
-			return
+			// Closing: keep reading, and discarding, until the sensor
+			// answers the half-close with EOF (see Close).
 		}
 	}
 }
